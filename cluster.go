@@ -2,14 +2,12 @@ package sushi
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"sushi/internal/core"
 	"sushi/internal/latencytable"
 	"sushi/internal/serving"
 	"sushi/internal/simq"
-	"sushi/internal/workload"
 )
 
 // LatencyTable is the SushiAbs lookup table a deployment schedules
@@ -34,7 +32,7 @@ func LoadMeasuredTable(path string) (*LatencyTable, Workload, error) {
 type RecachePolicy = serving.RecachePolicy
 
 // RouterKind names a cluster dispatch policy.
-type RouterKind string
+type RouterKind = core.RouterKind
 
 // Dispatch policies for WithRouter.
 const (
@@ -202,30 +200,6 @@ func WithAutoscale(a AutoscaleOptions) ClusterOption {
 	return func(o *core.ClusterOptions) { o.Autoscale = &a }
 }
 
-// WithCohorts attaches a client-cohort population to the deployment:
-// the heterogeneous-traffic counterpart of a single arrival process.
-// Each Cohort is one homogeneous client group — a mean rate, an
-// inter-arrival law (Poisson/Gamma/Weibull burstiness), empirical
-// budget/accuracy marks, and the SLO class + model its queries carry —
-// and the population superposes them under SplitMix-derived per-cohort
-// seeds:
-//
-//	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3},
-//		sushi.WithReplicas(4),
-//		sushi.WithCohorts(
-//			sushi.Cohort{SLOClass: "gold", Rate: 40, Budget: sushi.Empirical{Values: []float64{2e-3}}},
-//			sushi.Cohort{SLOClass: "batch", Rate: 10, InterArrival: sushi.IAGamma, Shape: 0.4},
-//		))
-//
-// The population becomes the default workload of
-// Cluster.SimulateCohorts and POST /v1/simulate's "cohorts" process;
-// per-SLO-class breakdowns and the Jain fairness index appear in every
-// Summary the run produces. Cohorts targeting models the fleet does
-// not host are rejected at deploy time with a typed error.
-func WithCohorts(cohorts ...Cohort) ClusterOption {
-	return func(o *core.ClusterOptions) { o.Cohorts = &workload.Population{Cohorts: cohorts} }
-}
-
 // WithMeasuredTable serves the whole fleet from the given prebuilt
 // latency table instead of deriving an analytic one — the runtime end
 // of the offline-calibration loop:
@@ -358,42 +332,10 @@ func (c *Cluster) Stats() Summary {
 	return c.d.Cluster.Stats()
 }
 
-// SimOptions configures Cluster.Simulate.
-type SimOptions struct {
-	// QueueCap bounds each replica's wait queue (0 = unbounded);
-	// Admission picks the overflow policy (default AdmitReject).
-	QueueCap  int
-	Admission AdmissionPolicy
-	// LoadAware debits each query's latency budget by its queueing
-	// delay before scheduling; Drop abandons queries whose budget is
-	// exhausted before service starts.
-	LoadAware, Drop bool
-	// Router is the dispatch policy for the simulated run; empty
-	// defaults to the cluster's own configured policy. A fresh router
-	// instance is built per call, so repeated simulations over fresh
-	// deployments reproduce exactly.
-	Router RouterKind
-	// RouterSeed seeds the RandomRouter.
-	RouterSeed int64
-	// Batching is the virtual-time batch former (B queries per flush,
-	// window in virtual seconds). The zero value inherits the cluster's
-	// WithBatching policy (wall-clock window carried over numerically);
-	// set MaxBatch to 1 to force an unbatched run on a batched cluster.
-	Batching Batching
-	// Autoscale overrides the deployment's elastic-fleet configuration
-	// for this run (nil inherits WithAutoscale; set Min == Max to pin
-	// the fleet for a control run). Max must not exceed the deployed
-	// replica count — Simulate cannot boot replicas the deployment
-	// never built.
-	Autoscale *AutoscaleOptions
-	// Shards opts into the engine's parallel mode: replicas are
-	// partitioned across up to Shards goroutines advancing in
-	// conservative virtual-time windows, with results bit-identical to
-	// the sequential engine at any shard count. Requires a shard-safe
-	// router (RoundRobin or RandomRouter) and a fixed (non-autoscaled)
-	// fleet; 0 or 1 is the sequential engine.
-	Shards int
-}
+// SimOptions configures Cluster.Simulate: queueing discipline,
+// router override, virtual-time batching, autoscale override and
+// shard count.
+type SimOptions = core.SimOptions
 
 // Simulate plays a timed query stream through the cluster in virtual
 // time: the simq discrete-event engine routes each query at its arrival
@@ -402,119 +344,21 @@ type SimOptions struct {
 // goodput and drop counts. Virtual time means a day of diurnal traffic
 // evaluates in milliseconds, deterministically per seed.
 //
+// Every arrival source feeds it the same way: draw the queries and
+// their instants, then pair them with TimedStream. A cohort Population
+// draws both (pop.Queries(n, seed)); an ArrivalProcess draws instants
+// (proc.Times(n, seed)) for queries from any generator; a recorded
+// TraceV2 replays both bit-exactly (tr.Queries(n), tr.Times(n, 0)):
+//
+//	qs, arr, err := pop.Queries(n, seed)
+//	stream, err := sushi.TimedStream(qs, arr)
+//	res, err := c.Simulate(stream, sushi.SimOptions{QueueCap: 4})
+//
 // The run shares the cluster's replicas with the live serve paths: each
 // simulated query serializes on its replica's lock, and replica cache
 // state adapts to the simulated traffic (that is the point — SubGraph
 // Stationary behaviour under load). Run it against an otherwise idle
 // cluster for reproducible results.
 func (c *Cluster) Simulate(qs []TimedQuery, opt SimOptions) (*SimResult, error) {
-	eng, err := c.engine(opt)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Run(qs)
-}
-
-// SimulateProcess is Simulate with arrivals drawn LAZILY from an
-// arrival process instead of a materialized []TimedQuery: the engine
-// pulls the process's stream one instant at a time and mints the i-th
-// query with mk at its arrival instant, so a billion-query run needs no
-// billion-element arrival slice. proc must implement the workload
-// Streamer face (every built-in process — Poisson, OnOff, Diurnal,
-// TraceArrivals, Mix — does); results are bit-identical to generating
-// proc.Times(n, seed) and calling Simulate. Sharded mode needs the
-// whole stream up front, so SimOptions.Shards is rejected here.
-func (c *Cluster) SimulateProcess(n int, proc ArrivalProcess, seed int64, mk func(i int, t float64) Query, opt SimOptions) (*SimResult, error) {
-	if opt.Shards > 1 {
-		return nil, fmt.Errorf("sushi: SimulateProcess streams arrivals lazily and cannot shard (Shards %d); materialize with Simulate instead", opt.Shards)
-	}
-	streamer, ok := proc.(workload.Streamer)
-	if !ok {
-		return nil, fmt.Errorf("sushi: arrival process %q cannot stream lazily; materialize with Simulate instead", proc.Name())
-	}
-	stream, err := streamer.Stream(seed)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := c.engine(opt)
-	if err != nil {
-		return nil, err
-	}
-	return eng.RunProcess(n, stream, mk)
-}
-
-// SimulateCohorts streams n arrivals from the deployment's WithCohorts
-// population through the virtual-time engine: arrivals and their
-// minted queries (model, SLO class, budget/accuracy draws) are
-// generated lazily in lockstep, so cohort runs ride the same
-// allocation-free SimulateProcess machinery as plain processes. The
-// result's Summary carries per-SLO-class breakdowns and the Jain
-// fairness index. Deployments without WithCohorts are rejected.
-func (c *Cluster) SimulateCohorts(n int, seed int64, opt SimOptions) (*SimResult, error) {
-	if c.d.Cohorts == nil {
-		return nil, fmt.Errorf("sushi: SimulateCohorts needs a WithCohorts population on the deployment")
-	}
-	return c.SimulatePopulation(n, *c.d.Cohorts, seed, opt)
-}
-
-// SimulatePopulation is SimulateCohorts over an explicit Population —
-// sweep harnesses build populations per run instead of per deployment.
-// Like SimulateProcess it streams lazily and cannot shard.
-func (c *Cluster) SimulatePopulation(n int, pop Population, seed int64, opt SimOptions) (*SimResult, error) {
-	if opt.Shards > 1 {
-		return nil, fmt.Errorf("sushi: SimulatePopulation streams arrivals lazily and cannot shard (Shards %d); materialize with Population.Queries and Simulate instead", opt.Shards)
-	}
-	ls, err := pop.Labeled(seed)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := c.engine(opt)
-	if err != nil {
-		return nil, err
-	}
-	// The engine calls mk immediately after each stream draw, so one
-	// buffered arrival is always the one being minted.
-	var cur workload.CohortArrival
-	stream := func() (float64, bool) {
-		a, ok := ls()
-		if !ok {
-			return 0, false
-		}
-		cur = a
-		return a.T, true
-	}
-	mk := func(i int, t float64) Query {
-		q := cur.Query
-		q.ID = i
-		return q
-	}
-	return eng.RunProcess(n, stream, mk)
-}
-
-// engine builds the simq engine for one simulated run.
-func (c *Cluster) engine(opt SimOptions) (*simq.Engine, error) {
-	kind := string(opt.Router)
-	if kind == "" {
-		kind = c.d.Cluster.RouterName()
-	}
-	router, err := core.NewRouter(kind, opt.RouterSeed)
-	if err != nil {
-		return nil, err
-	}
-	asc := c.d.Autoscale
-	if opt.Autoscale != nil {
-		if asc, err = core.ResolveAutoscale(opt.Autoscale); err != nil {
-			return nil, err
-		}
-	}
-	return simq.FromCluster(c.d.Cluster, simq.Options{
-		QueueCap:  opt.QueueCap,
-		Admission: opt.Admission,
-		LoadAware: opt.LoadAware,
-		Drop:      opt.Drop,
-		Router:    router,
-		Batching:  simq.ResolveBatching(opt.Batching, c.d.Cluster.BatchPolicy()),
-		Autoscale: asc,
-		Shards:    opt.Shards,
-	})
+	return c.d.Simulate(qs, opt)
 }

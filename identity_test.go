@@ -193,9 +193,9 @@ func TestSingleModelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSingleCohortPoissonClusterIdentity is PR 8's inert-layer pin at
-// cluster level: a one-cohort Poisson Population driven through
-// SimulatePopulation must reproduce — bit for bit — a plain Simulate
+// TestSingleCohortPoissonClusterIdentity is the inert-layer pin at
+// cluster level: a one-cohort Poisson Population drawn with
+// Population.Queries and played through Simulate must reproduce — bit for bit — a plain Simulate
 // over Poisson arrivals carrying the same constant budget/accuracy
 // marks. Single-value Empiricals make the marks deterministic, so the
 // two runs present identical streams; any digest divergence means the
@@ -226,7 +226,7 @@ func TestSingleCohortPoissonClusterIdentity(t *testing.T) {
 		Budget:   sushi.Empirical{Values: []float64{12e-3}},
 		Accuracy: sushi.Empirical{Values: []float64{65}},
 	}}}
-	viaPop, err := deploy().SimulatePopulation(n, pop, seed, opt)
+	viaPop, err := deploy().Simulate(populationStream(t, pop, n, seed), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,33 +251,49 @@ func TestSingleCohortPoissonClusterIdentity(t *testing.T) {
 	}
 }
 
+// populationStream draws n arrivals of pop under seed as the timed
+// stream Cluster.Simulate plays.
+func populationStream(t *testing.T, pop sushi.Population, n int, seed int64) []sushi.TimedQuery {
+	t.Helper()
+	qs, arr, err := pop.Queries(n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := sushi.TimedStream(qs, arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stream
+}
+
 // TestCohortPopulationGoldenDigest pins the full cohort path — a
-// skewed multi-class population over a multi-tenant fleet via the
-// WithCohorts knob and SimulateCohorts — to a digest captured on the
-// tree that introduced it. Any change to cohort RNG derivation, mark
-// drawing, label threading or merge order shows up here.
+// skewed multi-class population drawn with Population.Queries and
+// played through Simulate over a multi-tenant fleet — to a digest
+// captured on the tree that introduced it. Any change to cohort RNG
+// derivation, mark drawing, label threading or merge order shows up
+// here.
 func TestCohortPopulationGoldenDigest(t *testing.T) {
 	const golden = "9749e4d9b6577059f619c541db7db4ea3171dc45dec5b15a2f95a94556a72290"
+	pop := sushi.Population{Cohorts: []sushi.Cohort{
+		{Rate: 120, SLOClass: "gold", Model: string(sushi.MobileNetV3),
+			InterArrival: sushi.IAGamma, Shape: 0.3,
+			Budget: sushi.Empirical{Values: []float64{10e-3, 20e-3}, Weights: []float64{3, 1}}},
+		{Rate: 60, SLOClass: "silver", Model: string(sushi.ResNet50),
+			InterArrival: sushi.IAWeibull, Shape: 0.7,
+			Budget: sushi.Empirical{Values: []float64{60e-3}}},
+		{Rate: 40, SLOClass: "batch", Model: string(sushi.MobileNetV3),
+			Budget:   sushi.Empirical{Values: []float64{40e-3}},
+			Accuracy: sushi.Empirical{Values: []float64{60, 70}}},
+	}}
 	c, err := sushi.NewCluster(sushi.Options{},
 		sushi.WithModels(sushi.ResNet50, sushi.MobileNetV3),
 		sushi.WithReplicas(4),
 		sushi.WithRouter(sushi.LeastLoaded),
-		sushi.WithCohorts(
-			sushi.Cohort{Rate: 120, SLOClass: "gold", Model: string(sushi.MobileNetV3),
-				InterArrival: sushi.IAGamma, Shape: 0.3,
-				Budget: sushi.Empirical{Values: []float64{10e-3, 20e-3}, Weights: []float64{3, 1}}},
-			sushi.Cohort{Rate: 60, SLOClass: "silver", Model: string(sushi.ResNet50),
-				InterArrival: sushi.IAWeibull, Shape: 0.7,
-				Budget: sushi.Empirical{Values: []float64{60e-3}}},
-			sushi.Cohort{Rate: 40, SLOClass: "batch", Model: string(sushi.MobileNetV3),
-				Budget:   sushi.Empirical{Values: []float64{40e-3}},
-				Accuracy: sushi.Empirical{Values: []float64{60, 70}}},
-		),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.SimulateCohorts(400, 31, sushi.SimOptions{
+	res, err := c.Simulate(populationStream(t, pop, 400, 31), sushi.SimOptions{
 		QueueCap:  4,
 		Admission: sushi.AdmitReject,
 		LoadAware: true,

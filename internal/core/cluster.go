@@ -88,8 +88,8 @@ type ClusterOptions struct {
 	// its own family).
 	Table *latencytable.Table
 	// Cohorts attaches a client-cohort population to the deployment:
-	// the default workload for Cluster.SimulateCohorts and POST
-	// /v1/simulate's "cohorts" process. Validated at deploy time
+	// the default workload for POST /v1/simulate's "cohorts" process
+	// (sushi-server -cohorts). Validated at deploy time
 	// (malformed cohorts and cohorts targeting unhosted models are
 	// typed OptionErrors); nil leaves the deployment population-free.
 	Cohorts *workload.Population
@@ -197,11 +197,11 @@ type ClusterDeployment struct {
 	// Cluster dispatches queries across the replicas.
 	Cluster *serving.Cluster
 	// Autoscale is the resolved elastic-fleet configuration (nil for
-	// fixed fleets); Cluster.Simulate and POST /v1/simulate inherit it.
+	// fixed fleets); Simulate inherits it.
 	Autoscale *autoscale.Config
 	// Cohorts is the deployment's client-cohort population (nil when
-	// none was configured); Cluster.SimulateCohorts and POST
-	// /v1/simulate's "cohorts" process draw from it.
+	// none was configured); POST /v1/simulate's "cohorts" process
+	// draws from it.
 	Cohorts *workload.Population
 }
 

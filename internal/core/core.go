@@ -27,6 +27,9 @@ type OptionError struct {
 
 // Error implements error.
 func (e *OptionError) Error() string {
+	if e.Value == nil {
+		return fmt.Sprintf("core: invalid option %s: %s", e.Field, e.Reason)
+	}
 	return fmt.Sprintf("core: invalid option %s=%v: %s", e.Field, e.Value, e.Reason)
 }
 

@@ -99,8 +99,7 @@ func cohortSweepDeploy() (*ClusterDeployment, error) {
 
 // runPopulation streams n arrivals from a population through the
 // engine, minting each cohort's query (model, class, budget draw) in
-// lockstep with its arrival — the core-level twin of
-// sushi.Cluster.SimulatePopulation.
+// lockstep with its arrival, with no materialized arrival slice.
 func runPopulation(eng *simq.Engine, n int, pop workload.Population, seed int64) (*simq.Result, error) {
 	ls, err := pop.Labeled(seed)
 	if err != nil {
@@ -258,25 +257,21 @@ func ReplayTraceV2(tr *workload.TraceV2) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream := make([]serving.TimedQuery, n)
-	for i := range stream {
-		stream[i] = serving.TimedQuery{Query: qs[i], Arrival: times[i]}
+	stream, err := simq.Stream(qs, times)
+	if err != nil {
+		return nil, err
 	}
 	dep, err := cohortSweepDeploy()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := simq.FromCluster(dep.Cluster, simq.Options{
+	run, err := dep.Simulate(stream, SimOptions{
 		QueueCap:  cohortQueueCap,
 		Admission: simq.Reject,
 		LoadAware: true,
 		Drop:      true,
-		Router:    serving.NewLeastLoaded(),
+		Router:    RouterLeastLoaded,
 	})
-	if err != nil {
-		return nil, err
-	}
-	run, err := eng.Run(stream)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,8 @@
 //	                      population — inline spec or the deployment's
 //	                      -cohorts default — whose queries carry SLO
 //	                      classes; per_model/per_class slices and the
-//	                      Jain fairness index in the reply)
+//	                      Jain fairness index in the reply; bodies over
+//	                      16 MiB are refused with 413)
 //	GET  /v1/replicas     per-replica hardware, lifecycle state, cache
 //	                      state (column + re-cache stats), queue depth,
 //	                      hit ratio, batch occupancy, per-model tenant
@@ -38,6 +39,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -281,6 +283,40 @@ type TracePoint struct {
 	MaxLatencyMS float64 `json:"max_latency_ms"`
 }
 
+// tracePoints is SimulateRequest.Trace's wire form. It decodes point
+// by point and refuses the array past maxSimulateQueries points, so a
+// body of tiny points cannot allocate millions of them first.
+type tracePoints []TracePoint
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (tp *tracePoints) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != json.Delim('[') {
+		return errors.New("trace must be an array of points")
+	}
+	var pts []TracePoint
+	for dec.More() {
+		if len(pts) == maxSimulateQueries {
+			return fmt.Errorf("stream length capped at %d queries", maxSimulateQueries)
+		}
+		var p TracePoint
+		if err := dec.Decode(&p); err != nil {
+			return err
+		}
+		pts = append(pts, p)
+	}
+	*tp = pts
+	return nil
+}
+
 // SimulateRequest is /v1/simulate's body: an arrival process (or a
 // replayable trace), the constraint every generated query carries, and
 // the engine's queueing discipline. Unknown fields are rejected.
@@ -314,9 +350,10 @@ type SimulateRequest struct {
 	// Amplitude and PeriodS parameterize the diurnal swing.
 	Amplitude float64 `json:"amplitude"`
 	PeriodS   float64 `json:"period_s"`
-	// Trace replays recorded (arrival, A_t, L_t) tuples (process
-	// "trace"); generated-process constraints below are ignored.
-	Trace []TracePoint `json:"trace"`
+	// Trace replays recorded queries (process "trace"), each point one
+	// record of a trace v2; generated-process constraints below are
+	// ignored.
+	Trace tracePoints `json:"trace"`
 	// Model names the target model for every generated query (and for
 	// trace points without their own model) on multi-tenant
 	// deployments. Empty resolves to the default model.
@@ -363,10 +400,10 @@ type SimulateRequest struct {
 
 // autoscale resolves the request's elastic-fleet override (nil when no
 // autoscale_* field is set: the run inherits the deployment's config).
-func (req SimulateRequest) autoscale() (*core.AutoscaleOptions, bool) {
+func (req SimulateRequest) autoscale() *core.AutoscaleOptions {
 	if req.AutoscaleMin == 0 && req.AutoscaleMax == 0 && req.AutoscalePolicy == "" &&
 		req.AutoscaleIntervalS == 0 && req.AutoscaleCooldownS == 0 {
-		return nil, false
+		return nil
 	}
 	return &core.AutoscaleOptions{
 		Min:      req.AutoscaleMin,
@@ -374,7 +411,7 @@ func (req SimulateRequest) autoscale() (*core.AutoscaleOptions, bool) {
 		Policy:   req.AutoscalePolicy,
 		Interval: req.AutoscaleIntervalS,
 		Cooldown: req.AutoscaleCooldownS,
-	}, true
+	}
 }
 
 // maxSimulateQueries caps one /v1/simulate stream. The engine runs the
@@ -382,6 +419,13 @@ func (req SimulateRequest) autoscale() (*core.AutoscaleOptions, bool) {
 // traffic, so an unbounded stream length would let a single request pin
 // the server for minutes; 100k queries stays in low seconds.
 const maxSimulateQueries = 100_000
+
+// maxSimulateBody caps one /v1/simulate request body (413 beyond it),
+// so an oversized request is refused while it is read rather than
+// after it has been buffered. 16 MiB is about 160 bytes per point of a
+// maxSimulateQueries-point trace: room for full-precision floats, a
+// model label and pretty-printing.
+const maxSimulateBody = 16 << 20
 
 // stream materializes the request's arrival process and query stream.
 // dflt is the deployment's -cohorts population (nil when none), the
@@ -404,14 +448,17 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 		if len(req.Trace) == 0 {
 			return nil, errors.New("process \"trace\" needs a non-empty trace")
 		}
-		tr := workload.Trace{Entries: make([]workload.TraceEntry, len(req.Trace))}
+		// The points become an unattributed trace v2 (cohort -1), the
+		// one replay format; Queries checks it with TraceV2.Validate.
+		tr := workload.TraceV2{Records: make([]workload.TraceV2Record, len(req.Trace))}
 		for i, p := range req.Trace {
 			model := p.Model
 			if model == "" {
 				model = req.Model
 			}
-			tr.Entries[i] = workload.TraceEntry{
+			tr.Records[i] = workload.TraceV2Record{
 				Arrival:     p.ArrivalS,
+				Cohort:      -1,
 				Model:       model,
 				MinAccuracy: p.MinAccuracy,
 				MaxLatency:  p.MaxLatencyMS * 1e-3,
@@ -419,7 +466,7 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 		}
 		n := req.Queries
 		if n == 0 {
-			n = len(tr.Entries)
+			n = len(tr.Records)
 		}
 		qs, err := tr.Queries(n)
 		if err != nil {
@@ -616,10 +663,16 @@ func modelSimViews(sum serving.Summary) []ModelSimView {
 // and leave their mark on its cache state; point this at an idle
 // deployment for reproducible sweeps.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSimulateBody))
 	dec.DisallowUnknownFields()
 	var req SimulateRequest
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -628,57 +681,37 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Queue < 0 {
-		httpError(w, http.StatusBadRequest, "queue must be non-negative")
-		return
-	}
 	adm, err := simq.ParseAdmission(req.Admission)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	kind := req.Router
-	if kind == "" {
-		kind = s.dep.Cluster.RouterName()
-	}
-	router, err := core.NewRouter(kind, req.RouterSeed)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.MaxBatch < 0 || req.BatchWindowMS < 0 {
-		httpError(w, http.StatusBadRequest, "max_batch and batch_window_ms must be non-negative")
-		return
-	}
-	asc := s.dep.Autoscale
-	if aopt, ok := req.autoscale(); ok {
-		if asc, err = core.ResolveAutoscale(aopt); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	eng, err := simq.FromCluster(s.dep.Cluster, simq.Options{
-		QueueCap:  req.Queue,
-		Admission: adm,
-		LoadAware: req.LoadAware,
-		Drop:      req.Drop,
-		Router:    router,
-		Batching: simq.ResolveBatching(
-			simq.Batching{MaxBatch: req.MaxBatch, Window: req.BatchWindowMS * 1e-3},
-			s.dep.Cluster.BatchPolicy()),
-		Autoscale: asc,
+	res, err := s.dep.Simulate(qs, core.SimOptions{
+		QueueCap:   req.Queue,
+		Admission:  adm,
+		LoadAware:  req.LoadAware,
+		Drop:       req.Drop,
+		Router:     core.RouterKind(req.Router),
+		RouterSeed: req.RouterSeed,
+		Batching:   simq.Batching{MaxBatch: req.MaxBatch, Window: req.BatchWindowMS * 1e-3},
+		Autoscale:  req.autoscale(),
 	})
-	if err != nil {
+	var optErr *core.OptionError
+	switch {
+	case errors.As(err, &optErr):
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	res, err := eng.Run(qs)
-	if err != nil {
+	case err != nil:
 		serveError(w, err)
 		return
 	}
+	writeJSON(w, simulateResponse(res))
+}
+
+// simulateResponse renders one simulated run as /v1/simulate's body.
+func simulateResponse(res *simq.Result) SimulateResponse {
 	sum := res.Summary
-	writeJSON(w, SimulateResponse{
+	return SimulateResponse{
 		Queries:        res.Queries,
 		Served:         res.Served,
 		Dropped:        res.Dropped,
@@ -708,7 +741,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		PerModel:       modelSimViews(sum),
 		PerClass:       classSimViews(sum),
 		FairnessJain:   sum.FairnessJain,
-	})
+	}
 }
 
 func (s *Server) handleFrontier(w http.ResponseWriter, _ *http.Request) {

@@ -433,6 +433,9 @@ func TestSimulateValidation(t *testing.T) {
 		"trace wrong mode": `{"queries": 2, "rate_qps": 100, "trace": [{"arrival_s": 0}]}`,
 		"empty trace":      `{"process": "trace"}`,
 		"bad trace order":  `{"process": "trace", "trace": [{"arrival_s": 1}, {"arrival_s": 0}]}`,
+		// Trace v2 caps labels at 64 KiB; the old tuple trace took any.
+		"over-long trace model": `{"process": "trace", "trace": [{"arrival_s": 0, "model": "` + strings.Repeat("m", 1<<16+1) + `"}]}`,
+		"over-long model":       `{"process": "trace", "model": "` + strings.Repeat("m", 1<<16+1) + `", "trace": [{"arrival_s": 0}]}`,
 	} {
 		resp, _ := postSimulate(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

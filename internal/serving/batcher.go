@@ -137,20 +137,30 @@ func (b *liveBatcher) timerFlush(gen uint64) {
 	b.flush(batch)
 }
 
-// liveKey is the live former's compatibility key: queries share one
-// batched pass only when they target the same model and resolve to the
-// same SubNet row under the same effective policy (different models
-// read different weights; mixing policies would make ScheduleBatch
-// reject the whole group).
-type liveKey struct {
-	// model is the query's canonical model id ("" on single-model
-	// deployments; the cluster normalizes before submit).
-	model string
-	// row is the scheduled SubNet's table row (-1 = unschedulable,
+// BatchKey is the batch-compatibility key shared by the live former
+// and the simq engine's virtual one: queries share one batched pass
+// only when they target the same model and resolve to the same SubNet
+// row under the same effective policy (different models read different
+// weights; mixing policies would make ScheduleBatch reject the whole
+// group).
+type BatchKey struct {
+	// Model is the query's canonical model id ("" on single-model
+	// deployments; normalized before the key is taken).
+	Model string
+	// Row is the scheduled SubNet's table row (-1 = unschedulable,
 	// served solo so the error path stays per-query).
-	row int
-	// policy is the per-query override (-1 = replica default).
-	policy int
+	Row int
+	// Policy is the per-query override (-1 = replica default).
+	Policy int
+}
+
+// NewBatchKey keys q as scheduled onto row.
+func NewBatchKey(q sched.Query, row int) BatchKey {
+	k := BatchKey{Model: q.Model, Row: row, Policy: -1}
+	if q.Policy != nil {
+		k.Policy = int(*q.Policy)
+	}
+	return k
 }
 
 // flush serves a drained batch: cancelled members are skipped (their
@@ -163,8 +173,8 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 	}
 	// Group compatible queries, preserving submission order within and
 	// across groups.
-	var order []liveKey
-	groups := map[liveKey][]*pendingServe{}
+	var order []BatchKey
+	groups := map[BatchKey][]*pendingServe{}
 	for _, p := range batch {
 		select {
 		case <-p.cancelled:
@@ -172,10 +182,7 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 			continue
 		default:
 		}
-		key := liveKey{model: p.q.Model, row: b.rep.ScheduledSubNet(p.q), policy: -1}
-		if p.q.Policy != nil {
-			key.policy = int(*p.q.Policy)
-		}
+		key := NewBatchKey(p.q, b.rep.ScheduledSubNet(p.q))
 		if _, seen := groups[key]; !seen {
 			order = append(order, key)
 		}
@@ -183,7 +190,7 @@ func (b *liveBatcher) flush(batch []*pendingServe) {
 	}
 	for _, key := range order {
 		g := groups[key]
-		if key.row < 0 {
+		if key.Row < 0 {
 			for _, p := range g {
 				res, err := b.rep.serveReserved(p.q)
 				p.done <- serveOutcome{res, err}

@@ -258,21 +258,16 @@ func (r *runner) drop(ri int, j job, now float64, why Reason) {
 // as it would be served now (after load-aware debiting — that is the
 // query the scheduler will actually see).
 func (r *runner) keyFor(ri int, j job, wait float64) batchKey {
-	k := batchKey{model: j.q.Model, degraded: j.degraded, policy: -1, row: -1}
-	if j.q.Policy != nil {
-		k.policy = int(*j.q.Policy)
-	}
 	if j.degraded {
 		// Degraded queries all collapse to the fastest SubNet under the
 		// current column; any two are compatible.
-		return k
+		return batchKey{serving.NewBatchKey(j.q, -1), true}
 	}
 	q := j.q
 	if r.e.opt.LoadAware {
 		q = q.Debit(wait)
 	}
-	k.row = r.e.reps[ri].ScheduledSubNet(q)
-	return k
+	return batchKey{serving.NewBatchKey(q, r.e.reps[ri].ScheduledSubNet(q)), false}
 }
 
 // flush is the engine's one service-starting event: while the replica

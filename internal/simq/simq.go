@@ -408,22 +408,13 @@ func (st *replicaState) qpush(j job) {
 	st.queue = append(st.queue, j)
 }
 
-// batchKey is the engine's batch-former compatibility key: two queued
-// queries may share one accelerator pass only when they target the
-// same model (different models read different weights by definition)
-// and would be served the same SubNet under the same effective policy
-// and degrade status.
+// batchKey is the engine's batch-former compatibility key: the live
+// former's serving.BatchKey plus the degrade status. Degraded queries
+// of one model all collapse to that model's fastest SubNet, so their
+// key carries row -1.
 type batchKey struct {
-	// model is the query's canonical model id ("" on single-model
-	// deployments; normalized during upfront stream validation).
-	model    string
+	serving.BatchKey
 	degraded bool
-	// policy is the per-query override (-1 = replica default).
-	policy int
-	// row is the scheduled SubNet's table row (-1 = unschedulable;
-	// degraded queries of one model all collapse to that model's
-	// fastest SubNet, row ignored).
-	row int
 }
 
 // Stream pairs a query stream with arrival times (seconds since stream

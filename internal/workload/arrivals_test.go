@@ -41,7 +41,7 @@ func checkDeterministic(t *testing.T, p ArrivalProcess, n int) {
 			t.Fatalf("%s: same seed differs at %d", p.Name(), i)
 		}
 	}
-	if _, isTrace := p.(Trace); isTrace {
+	if _, isTrace := p.(*TraceV2); isTrace {
 		return // traces ignore the seed by design
 	}
 	c, err := p.Times(n, 8)
@@ -167,10 +167,10 @@ func TestDiurnalProcess(t *testing.T) {
 }
 
 func TestTraceProcess(t *testing.T) {
-	tr := Trace{Entries: []TraceEntry{
-		{Arrival: 0, MinAccuracy: 70, MaxLatency: 5e-3},
-		{Arrival: 0.01, MinAccuracy: 75, MaxLatency: 4e-3},
-		{Arrival: 0.02, MinAccuracy: 80, MaxLatency: 3e-3},
+	tr := &TraceV2{Records: []TraceV2Record{
+		{Arrival: 0, Cohort: -1, MinAccuracy: 70, MaxLatency: 5e-3},
+		{Arrival: 0.01, Cohort: -1, MinAccuracy: 75, MaxLatency: 4e-3},
+		{Arrival: 0.02, Cohort: -1, MinAccuracy: 80, MaxLatency: 3e-3},
 	}}
 	arr, err := tr.Times(3, 99)
 	if err != nil {
@@ -188,14 +188,14 @@ func TestTraceProcess(t *testing.T) {
 	if _, err := tr.Times(4, 1); err == nil {
 		t.Error("overlong request accepted")
 	}
-	if _, err := (Trace{}).Times(1, 1); err == nil {
+	if _, err := (&TraceV2{}).Times(1, 1); err == nil {
 		t.Error("empty trace accepted")
 	}
-	bad := Trace{Entries: []TraceEntry{{Arrival: 1}, {Arrival: 0.5}}}
+	bad := &TraceV2{Records: []TraceV2Record{{Arrival: 1, Cohort: -1}, {Arrival: 0.5, Cohort: -1}}}
 	if _, err := bad.Times(2, 1); err == nil {
 		t.Error("out-of-order trace accepted")
 	}
-	neg := Trace{Entries: []TraceEntry{{Arrival: -1}}}
+	neg := &TraceV2{Records: []TraceV2Record{{Arrival: -1, Cohort: -1}}}
 	if _, err := neg.Times(1, 1); err == nil {
 		t.Error("negative arrival accepted")
 	}

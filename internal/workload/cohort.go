@@ -532,6 +532,12 @@ func ZipfRates(n int, total, s float64) []float64 {
 	return out
 }
 
+// MaxParsedCohorts caps the cohorts one ParsePopulation spec may name
+// (n= replicates included), so a one-line spec cannot demand unbounded
+// memory. It sits two orders of magnitude above the 100 cohorts of the
+// cohortsweep experiment.
+const MaxParsedCohorts = 10_000
+
 // ParsePopulation builds a Population from a compact flag/JSON-free
 // spec: semicolon-separated cohort clauses of comma-separated k=v
 // fields —
@@ -544,6 +550,8 @@ func ZipfRates(n int, total, s float64) []float64 {
 // model id), budget (latency budgets in MILLISECONDS, '|'-separated,
 // drawn uniformly), acc (accuracy floors in top-1 percent,
 // '|'-separated). This is the grammar behind sushi-server -cohorts.
+// A spec naming more than MaxParsedCohorts cohorts in total is
+// rejected before any replicate is built.
 func ParsePopulation(spec string) (Population, error) {
 	var pop Population
 	for ci, clause := range strings.Split(spec, ";") {
@@ -598,6 +606,9 @@ func ParsePopulation(spec string) (Population, error) {
 			if err != nil {
 				return Population{}, fmt.Errorf("workload: cohort clause %d: %s: %v", ci, k, err)
 			}
+		}
+		if count > MaxParsedCohorts-len(pop.Cohorts) {
+			return Population{}, fmt.Errorf("workload: cohort clause %d: spec names more than %d cohorts", ci, MaxParsedCohorts)
 		}
 		for i := 0; i < count; i++ {
 			pop.Cohorts = append(pop.Cohorts, c)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -252,18 +253,68 @@ func TestParsePopulation(t *testing.T) {
 		t.Errorf("total rate %g, want 46", got)
 	}
 	for _, bad := range []string{
-		"",                         // no cohorts
-		"rate=0",                   // non-positive rate
-		"class=gold",               // missing rate
-		"rate=1,ia=pareto",         // unknown law
-		"rate=1,n=0",               // non-positive replicate
-		"rate=1,budget=fast",       // unparsable number
-		"rate=1,burst",             // not k=v
-		"rate=1,color=blue",        // unknown field
-		"rate=1,shape=-2,ia=gamma", // invalid shape
+		"",                            // no cohorts
+		"rate=0",                      // non-positive rate
+		"class=gold",                  // missing rate
+		"rate=1,ia=pareto",            // unknown law
+		"rate=1,n=0",                  // non-positive replicate
+		"rate=1,budget=fast",          // unparsable number
+		"rate=1,burst",                // not k=v
+		"rate=1,color=blue",           // unknown field
+		"rate=1,shape=-2,ia=gamma",    // invalid shape
+		"n=10001,rate=1",              // over the cohort cap
+		"n=6000,rate=1;n=6000,rate=2", // over the cap across clauses
 	} {
 		if _, err := ParsePopulation(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+	if pop, err := ParsePopulation("n=10000,rate=1"); err != nil || len(pop.Cohorts) != MaxParsedCohorts {
+		t.Errorf("spec at the cohort cap: %d cohorts, err %v", len(pop.Cohorts), err)
+	}
+}
+
+// TestParsePopulationCapAllocations pins that an absurd replicate
+// count is refused before the replicates are built: the rejection
+// allocates a few hundred bytes, not the gigabytes n= would demand.
+func TestParsePopulationCapAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ParsePopulation("n=1000000000,rate=1")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("n=1000000000 accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("rejecting n=1000000000 allocated %d bytes, want under 64 KiB", got)
+	}
+}
+
+// FuzzParsePopulation: the cohort grammar takes untrusted input (the
+// "cohorts" field of POST /v1/simulate). It must never panic, and
+// every spec it accepts must describe a valid, capped population.
+func FuzzParsePopulation(f *testing.F) {
+	for _, seed := range []string{
+		"rate=40,class=gold,budget=20,acc=70|75;n=3,rate=2,ia=gamma,shape=0.4,class=batch,model=resnet50,budget=80|120",
+		"n=5,rate=40,ia=weibull,shape=0.3,class=gold,budget=8|12;rate=100,class=batch",
+		"rate=1,n=0",
+		"n=1000000000,rate=1",
+		"rate=NaN",
+		";;,=,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pop, err := ParsePopulation(spec)
+		if err != nil {
+			return
+		}
+		if err := pop.Validate(); err != nil {
+			t.Fatalf("accepted spec %q fails Validate: %v", spec, err)
+		}
+		if len(pop.Cohorts) > MaxParsedCohorts {
+			t.Fatalf("accepted spec %q names %d cohorts, cap %d", spec, len(pop.Cohorts), MaxParsedCohorts)
+		}
+	})
 }

@@ -10,8 +10,9 @@ import (
 	"sushi/internal/sched"
 )
 
-// Trace v2 is the versioned, self-describing replay format superseding
-// the bare (arrival, A_t, L_t) tuples of Trace: a header carrying the
+// Trace v2 is the package's one versioned, self-describing replay
+// format — the path from a production log (or a previous simulation)
+// back into the engine: a header carrying the
 // format version, the generating seed and the cohort table, then one
 // fixed-shape record per arrival with the instant, the producing
 // cohort, the target model, the SLO class and the drawn constraint

@@ -184,10 +184,6 @@ type (
 	OnOff = workload.OnOff
 	// Diurnal is the sinusoidal-rate day/night process.
 	Diurnal = workload.Diurnal
-	// TraceArrivals replays recorded (arrival, A_t, L_t) tuples.
-	TraceArrivals = workload.Trace
-	// TraceEntry is one recorded tuple of a TraceArrivals.
-	TraceEntry = workload.TraceEntry
 	// Mix superposes per-model arrival processes into one merged,
 	// labelled stream — the multi-tenant workload combinator (e.g. a
 	// diurnal MobileNetV3 stream interleaved with bursty ResNet50).
@@ -207,7 +203,8 @@ type (
 	// empirical marks, SLO class and target model.
 	Cohort = workload.Cohort
 	// Population superposes N seeded cohorts into one arrival stream —
-	// the heterogeneous-client workload combinator (see WithCohorts).
+	// the heterogeneous-client workload combinator; Queries draws a
+	// stream Cluster.Simulate plays.
 	Population = workload.Population
 	// InterArrival names a Cohort's inter-arrival law.
 	InterArrival = workload.InterArrival

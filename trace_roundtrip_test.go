@@ -79,7 +79,7 @@ func TestTraceV2RecordReplayBitExact(t *testing.T) {
 	)
 	pop := tracePopulation()
 
-	live, err := traceDeploy(t).SimulatePopulation(n, pop, seed, traceSimOpts())
+	live, err := traceDeploy(t).Simulate(populationStream(t, pop, n, seed), traceSimOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
