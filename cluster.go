@@ -238,17 +238,17 @@ type Result = serving.Result
 // and Persistent Buffer state.
 type ReplicaInfo = core.ReplicaView
 
-// Cluster is a multi-replica SUSHI deployment: R systems behind a
-// dispatcher. All methods are safe for concurrent use; queries on one
-// replica serialize (a stream on one accelerator) while replicas serve
-// in parallel.
+// Cluster is a SUSHI deployment: R replica accelerators (one by
+// default) behind a dispatcher. A one-replica Cluster is the paper's
+// single-accelerator stack. All methods are safe for concurrent use;
+// queries on one replica serialize (a stream on one accelerator) while
+// replicas serve in parallel.
 type Cluster struct {
 	d *core.ClusterDeployment
 }
 
-// NewCluster builds a concurrent serving deployment. Options configures
-// each replica exactly as New configures a System; ClusterOptions add
-// the replica count and router:
+// NewCluster builds a serving deployment. Options configures each
+// replica; ClusterOptions add the replica count (default 1) and router:
 //
 //	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3},
 //		sushi.WithReplicas(4), sushi.WithRouter(sushi.Affinity))

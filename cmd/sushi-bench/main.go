@@ -20,8 +20,6 @@
 // -parallel (default on) runs independent grid points of the sweep
 // experiments across GOMAXPROCS workers; results are folded in
 // deterministic grid order, so output is byte-identical either way.
-// -slowpath forces the original unmemoized decision scan path — the
-// fast path's correctness oracle; identical output, slower.
 //
 // With -json, the human-readable tables are replaced by one NDJSON
 // record per experiment on stdout — name, ns_per_op (wall time of the
@@ -153,7 +151,6 @@ func run() int {
 	calibRows := flag.Int("calib-rows", 0, "cap measured frontier rows for smoke grids (0 = full frontier; capped tables cannot serve)")
 	calibCols := flag.Int("calib-cols", 0, "cap measured candidate columns for smoke grids (0 = all)")
 	parallel := flag.Bool("parallel", true, "run independent experiment grid points across GOMAXPROCS workers (results are folded in deterministic grid order, so output is identical either way)")
-	slowPath := flag.Bool("slowpath", false, "force the unmemoized decision slow path (the fast path's correctness oracle; identical output, slower)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sushi-bench [-w workload] [-json] [-csv dir] [-cpuprofile f] [-memprofile f] [experiment ...|all|list]\n")
 		fmt.Fprintf(os.Stderr, "       sushi-bench -record-trace f [-trace-queries n] | -replay-trace f [-json]\n")
@@ -163,7 +160,6 @@ func run() int {
 	}
 	flag.Parse()
 	sushi.SetParallelExperiments(*parallel)
-	sushi.SetSlowPath(*slowPath)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

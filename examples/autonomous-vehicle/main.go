@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,7 @@ import (
 )
 
 func main() {
-	sys, err := sushi.New(sushi.Options{
+	c, err := sushi.NewCluster(sushi.Options{
 		Workload: sushi.ResNet50,
 		Policy:   sushi.StrictLatency, // deadlines are hard in an AV
 		Q:        4,
@@ -26,11 +27,12 @@ func main() {
 	// Learn the deployment's latency scale from the frontier extremes:
 	// an impossible budget falls back to the fastest SubNet, a generous
 	// one serves the most accurate.
-	fast, err := sys.Serve(sushi.Query{MinAccuracy: 0, MaxLatency: 1e-9})
+	ctx := context.Background()
+	fast, err := c.Serve(ctx, sushi.Query{MinAccuracy: 0, MaxLatency: 1e-9})
 	if err != nil {
 		log.Fatal(err)
 	}
-	slow, err := sys.Serve(sushi.Query{MinAccuracy: 0, MaxLatency: 1})
+	slow, err := c.Serve(ctx, sushi.Query{MinAccuracy: 0, MaxLatency: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results, err := sys.ServeAll(trace)
+	results, err := c.ServeAll(ctx, trace)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,8 +15,9 @@ import (
 )
 
 func main() {
-	mkSystem := func(mode sushi.Mode) *sushi.System {
-		sys, err := sushi.New(sushi.Options{
+	ctx := context.Background()
+	deploy := func(mode sushi.Mode) *sushi.Cluster {
+		c, err := sushi.NewCluster(sushi.Options{
 			Workload: sushi.MobileNetV3, // edge-class model at the bedside
 			Policy:   sushi.StrictAccuracy,
 			Mode:     mode,
@@ -24,12 +26,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return sys
+		return c
 	}
 
-	probe := mkSystem(sushi.Full)
+	probe := deploy(sushi.Full)
 	fr := probe.Frontier()
-	mid, err := probe.Serve(sushi.Query{MinAccuracy: fr[3].Accuracy, MaxLatency: 1})
+	mid, err := probe.Serve(ctx, sushi.Query{MinAccuracy: fr[3].Accuracy, MaxLatency: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,8 +47,8 @@ func main() {
 	}
 
 	for _, mode := range []sushi.Mode{sushi.Full, sushi.NoPB} {
-		sys := mkSystem(mode)
-		rs, err := sys.ServeAll(trace)
+		c := deploy(mode)
+		rs, err := c.ServeAll(ctx, trace)
 		if err != nil {
 			log.Fatal(err)
 		}

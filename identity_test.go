@@ -17,8 +17,10 @@ package sushi_test
 // == N) — see TestAutoscaleDisabledBitIdentical.
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"testing"
 	"time"
 
@@ -332,5 +334,77 @@ func TestAutoscaleDisabledBitIdentical(t *testing.T) {
 				t.Errorf("Min == Max autoscale run diverged from the fixed-fleet pin:\n  got    %s\n  golden %s", got, ir.golden)
 			}
 		})
+	}
+}
+
+// oneReplicaGrid is the option grid TestOneReplicaClusterDigest pins:
+// both workloads x every system variant x every policy x swap-latency
+// charging on/off, plus seed, Q and candidate-count variants — 39 sets.
+func oneReplicaGrid() []sushi.Options {
+	var opts []sushi.Options
+	for _, w := range []sushi.Workload{sushi.ResNet50, sushi.MobileNetV3} {
+		for _, m := range []sushi.Mode{sushi.Full, sushi.StateUnaware, sushi.NoPB} {
+			for _, p := range []sushi.Policy{sushi.StrictAccuracy, sushi.StrictLatency, sushi.MinEnergy} {
+				for _, charge := range []bool{false, true} {
+					opts = append(opts, sushi.Options{Workload: w, Mode: m, Policy: p, ChargeSwapLatency: charge})
+				}
+			}
+		}
+	}
+	return append(opts,
+		sushi.Options{Workload: sushi.MobileNetV3, Seed: 7},
+		sushi.Options{Workload: sushi.ResNet50, Q: 2},
+		sushi.Options{Workload: sushi.MobileNetV3, Candidates: 8},
+	)
+}
+
+// digestServed hashes one option set's frontier, final cache view and
+// every field of every served outcome, in stream order.
+func digestServed(h hash.Hash, i int, rs []sushi.Served, cache sushi.CacheState, fr []sushi.SubNetInfo) {
+	fmt.Fprintf(h, "opt %d frontier %d cache %+v\n", i, len(fr), cache)
+	for _, f := range fr {
+		fmt.Fprintf(h, "%+v\n", f)
+	}
+	for j, r := range rs {
+		fmt.Fprintf(h, "%d|%d|%q|%q|%v|%v|%s|%d|%v|%v|%t|%t|%t|%t|%t|%d|%v|%d|%v\n",
+			j, r.Query.ID, r.Query.Model, r.Query.Class, r.Query.MinAccuracy, r.Query.MaxLatency,
+			r.SubNet, r.Row, r.Latency, r.Accuracy,
+			r.Feasible, r.LatencyMet, r.AccuracyMet, r.CacheSwapped, r.Recached,
+			r.Batch, r.HitRatio, r.HitBytes, r.OffChipEnergyJ)
+	}
+}
+
+// TestOneReplicaClusterDigest pins a one-replica Cluster — the only
+// deployment shape — to the single-accelerator System it replaced. The
+// golden was captured from the removed sushi.New(opt).ServeAll (with
+// System.Cache and System.Frontier) on the same grid and streams, so
+// closed-loop serving on one accelerator is unchanged bit for bit.
+func TestOneReplicaClusterDigest(t *testing.T) {
+	const golden = "8a34cfa01cf46da1f830404d055c54913335fbf0fd5a0747485442bf88b5e20c"
+	h := sha256.New()
+	for i, opt := range oneReplicaGrid() {
+		acc, lat := sushi.Range{Lo: 76, Hi: 80}, sushi.Range{Lo: 2e-3, Hi: 8e-3}
+		if opt.Workload == sushi.ResNet50 {
+			acc, lat = sushi.Range{Lo: 74, Hi: 80}, sushi.Range{Lo: 10e-3, Hi: 60e-3}
+		}
+		qs, err := sushi.UniformWorkload(64, acc, lat, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sushi.NewCluster(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Size() != 1 {
+			t.Fatalf("option set %d: NewCluster defaulted to %d replicas, want 1", i, c.Size())
+		}
+		rs, err := c.ServeAll(context.Background(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digestServed(h, i, rs, c.Replicas()[0].Cache, c.Frontier())
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Errorf("one-replica cluster diverged from the single-System pin:\n  got    %s\n  golden %s", got, golden)
 	}
 }

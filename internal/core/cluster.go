@@ -181,8 +181,8 @@ type ModelDeployment struct {
 }
 
 // ClusterDeployment bundles the co-hosted models' SuperNets, their
-// serving frontiers and a running replica cluster — the
-// multi-accelerator counterpart of Deployment.
+// serving frontiers and a running replica cluster. It is the only
+// deployment shape: a single accelerator is a one-replica cluster.
 type ClusterDeployment struct {
 	// Super is the DEFAULT model's weight-shared network (one copy,
 	// shared: SubGraph weights are identical across replicas). For the

@@ -446,35 +446,37 @@ func Overload(w Workload, queries int) (*Result, error) {
 			}
 			return qs
 		}
-		sysStatic, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		stRs, err := simq.ServeTimed(sysStatic, mkStream(true), serving.TimedOptions{Drop: true})
-		if err != nil {
-			return nil, err
-		}
-		sysAdaptive, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		adRs, err := simq.ServeTimed(sysAdaptive, mkStream(false), serving.TimedOptions{Drop: true, LoadAware: true})
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range []struct {
-			name string
-			sum  serving.TimedSummary
+		for _, arm := range []struct {
+			name      string
+			staticTop bool
+			opt       simq.Options
 		}{
-			{"static top model", serving.SummarizeTimed(stRs)},
-			{"load-aware SUSHI", serving.SummarizeTimed(adRs)},
+			{"static top model", true, simq.Options{Drop: true}},
+			{"load-aware SUSHI", false, simq.Options{Drop: true, LoadAware: true}},
 		} {
+			sys, err := mk()
+			if err != nil {
+				return nil, err
+			}
+			eng, err := simq.NewSingle(sys, arm.opt)
+			if err != nil {
+				return nil, err
+			}
+			run, err := eng.Run(mkStream(arm.staticTop))
+			if err != nil {
+				return nil, err
+			}
+			rs := make([]serving.TimedServed, len(run.Outcomes))
+			for i, o := range run.Outcomes {
+				rs[i] = o.TimedServed
+			}
+			sum := serving.SummarizeTimed(rs)
 			res.Rows = append(res.Rows, []string{
-				fmt.Sprintf("%.1fx", factor), row.name,
-				f1(row.sum.E2ESLO * 100),
-				fmt.Sprintf("%d", row.sum.Dropped),
-				f2(row.sum.AvgAccuracy),
-				ms(row.sum.AvgQueueDelay),
+				fmt.Sprintf("%.1fx", factor), arm.name,
+				f1(sum.E2ESLO * 100),
+				fmt.Sprintf("%d", sum.Dropped),
+				f2(sum.AvgAccuracy),
+				ms(sum.AvgQueueDelay),
 			})
 		}
 	}

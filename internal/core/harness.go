@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sushi/internal/serving"
 	"sushi/internal/supernet"
 )
 
@@ -24,15 +23,6 @@ func SetParallelExperiments(v bool) { parallelExperiments.Store(v) }
 // ParallelExperiments reports whether the harness runs grid points in
 // parallel.
 func ParallelExperiments() bool { return parallelExperiments.Load() }
-
-// SetSlowPath flips the process-wide decision slow path: every system
-// deployed afterwards runs the original unmemoized scan implementation
-// of each scheduling/routing decision (the fast path's correctness
-// oracle; see serving.SetForceSlowPath and sched.Options.SlowPath).
-func SetSlowPath(v bool) { serving.SetForceSlowPath(v) }
-
-// SlowPath reports the process-wide decision slow-path switch.
-func SlowPath() bool { return serving.ForceSlowPath() }
 
 // runPoints executes n independent grid points. Each point is a fully
 // seeded, self-contained run (own deployment, own engine), so points

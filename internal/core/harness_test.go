@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"sushi/internal/serving"
 )
 
 // TestRunPointsDeterministicFold pins the harness contract: parallel
@@ -85,23 +87,37 @@ func TestExperimentsParallelMatchSequential(t *testing.T) {
 	}
 }
 
-// TestSlowPathMatchesFastPathEndToEnd drives one full experiment with
-// the process-wide slow path forced and compares against the fast
+// TestSlowPathMatchesFastPathEndToEnd drives whole experiments with
+// the process-wide slow path forced (serving.SetForceSlowPath: every
+// system built afterwards runs the unmemoized scan implementation of
+// each scheduling and routing decision) and compares against the fast
 // path's Result — the end-to-end differential over routers, schedulers
 // and build caches at once.
 func TestSlowPathMatchesFastPathEndToEnd(t *testing.T) {
-	fastRes, err := LoadSweep(MobileNetV3, 100)
-	if err != nil {
-		t.Fatal(err)
+	runs := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"loadsweep", func() (*Result, error) { return LoadSweep(MobileNetV3, 100) }},
+		{"batchsweep", func() (*Result, error) { return BatchSweep(MobileNetV3, 0) }},
+		{"decisionhot", func() (*Result, error) { return DecisionHot(MobileNetV3, 0) }},
 	}
-	SetSlowPath(true)
-	defer SetSlowPath(false)
-	slowRes, err := LoadSweep(MobileNetV3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fastRes, slowRes) {
-		t.Errorf("loadsweep: slow-path Result differs from fast path:\n%s\nvs\n%s",
-			fastRes.String(), slowRes.String())
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			fastRes, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			serving.SetForceSlowPath(true)
+			slowRes, err := tc.run()
+			serving.SetForceSlowPath(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fastRes, slowRes) {
+				t.Errorf("%s: slow-path Result differs from fast path:\n%s\nvs\n%s",
+					tc.name, fastRes.String(), slowRes.String())
+			}
+		})
 	}
 }

@@ -70,14 +70,14 @@ func TestSimulateHTTPMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestSimulateBodyLimit: a /v1/simulate body over maxSimulateBody is
+// TestSimulateBodyLimit: a /v1/simulate body over maxBody is
 // refused with 413 while it is read.
 func TestSimulateBodyLimit(t *testing.T) {
 	dep, err := core.DeployCluster(core.DeployOptions{Workload: core.MobileNetV3}, core.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := `{"process": "trace", "trace": [` + strings.Repeat(" ", maxSimulateBody) + `]}`
+	body := `{"process": "trace", "trace": [` + strings.Repeat(" ", maxBody) + `]}`
 	rec := httptest.NewRecorder()
 	New(dep).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
 	if rec.Code != http.StatusRequestEntityTooLarge {
@@ -86,14 +86,14 @@ func TestSimulateBodyLimit(t *testing.T) {
 }
 
 // TestSimulateTracePointCap: a body under the size limit packed with
-// empty points is refused once the trace passes maxSimulateQueries
+// empty points is refused once the trace passes maxQueries
 // points, before millions of them are allocated.
 func TestSimulateTracePointCap(t *testing.T) {
 	dep, err := core.DeployCluster(core.DeployOptions{Workload: core.MobileNetV3}, core.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := (maxSimulateBody - 64) / 3
+	n := (maxBody - 64) / 3
 	body := `{"process": "trace", "trace": [` + strings.Repeat("{},", n-1) + `{}]}`
 	srv := New(dep)
 	var before, after runtime.MemStats
@@ -106,8 +106,39 @@ func TestSimulateTracePointCap(t *testing.T) {
 		t.Fatalf("%d-point trace: status %d, want 400 (%s)", n, rec.Code, rec.Body)
 	}
 	// Decoding all n points allocates over 1 GB; stopping at the cap
-	// costs the buffered body plus maxSimulateQueries points.
+	// costs the buffered body plus maxQueries points.
 	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<20 {
 		t.Errorf("refusing a %d-point trace allocated %d MB, want under 128 MB", n, got>>20)
+	}
+}
+
+// TestServeBodyCaps: live serve bodies past maxBody, and batches past
+// maxQueries lines, are refused with 413 while they are read — before
+// any query runs, even when the first lines are valid.
+func TestServeBodyCaps(t *testing.T) {
+	for _, tc := range []struct {
+		name, path, body string
+	}{
+		{"oversized single body", "/v1/serve",
+			`{"min_accuracy": 78` + strings.Repeat(" ", maxBody) + `}`},
+		{"oversized batch body", "/v1/serve/batch",
+			`{"min_accuracy": 78}` + "\n" + strings.Repeat(" ", maxBody) + `{"min_accuracy": 76}`},
+		{"batch over the query cap", "/v1/serve/batch",
+			strings.Repeat("{}\n", maxQueries+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dep, err := core.DeployCluster(core.DeployOptions{Workload: core.MobileNetV3}, core.ClusterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			New(dep).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413 (%s)", rec.Code, rec.Body)
+			}
+			if n := dep.Cluster.Stats().Queries; n != 0 {
+				t.Errorf("served %d queries, want 0", n)
+			}
+		})
 	}
 }

@@ -203,10 +203,22 @@ func decodeStrict(dec *json.Decoder, req *ServeRequest) error {
 	return dec.Decode(req)
 }
 
+// bodyError answers a request body that failed to decode: 413 when it
+// ran past maxBody, 400 with msg otherwise.
+func bodyError(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, msg)
+}
+
 func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 	var req ServeRequest
-	if err := decodeStrict(json.NewDecoder(r.Body), &req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err := decodeStrict(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)), &req); err != nil {
+		bodyError(w, err, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	q, err := req.query(int(s.next.Add(1) - 1))
@@ -231,9 +243,10 @@ func (s *Server) handleServe(w http.ResponseWriter, r *http.Request) {
 // handleServeBatch accepts an NDJSON stream of ServeRequest lines and
 // answers with one NDJSON ServeResponse line per query, in input order.
 // The whole batch is validated before any query executes, then serves
-// concurrently across the cluster's replicas.
+// concurrently across the cluster's replicas. A body past maxBody or a
+// batch past maxQueries lines is refused with 413 while it is read.
 func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	var qs []sched.Query
 	for line := 1; ; line++ {
 		var req ServeRequest
@@ -242,7 +255,12 @@ func (s *Server) handleServeBatch(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("batch line %d: %v", line, err))
+			bodyError(w, err, fmt.Sprintf("batch line %d: %v", line, err))
+			return
+		}
+		if len(qs) == maxQueries {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("batch capped at %d queries", maxQueries))
 			return
 		}
 		q, err := req.query(int(s.next.Add(1) - 1))
@@ -284,7 +302,7 @@ type TracePoint struct {
 }
 
 // tracePoints is SimulateRequest.Trace's wire form. It decodes point
-// by point and refuses the array past maxSimulateQueries points, so a
+// by point and refuses the array past maxQueries points, so a
 // body of tiny points cannot allocate millions of them first.
 type tracePoints []TracePoint
 
@@ -304,8 +322,8 @@ func (tp *tracePoints) UnmarshalJSON(b []byte) error {
 	}
 	var pts []TracePoint
 	for dec.More() {
-		if len(pts) == maxSimulateQueries {
-			return fmt.Errorf("stream length capped at %d queries", maxSimulateQueries)
+		if len(pts) == maxQueries {
+			return fmt.Errorf("stream length capped at %d queries", maxQueries)
 		}
 		var p TracePoint
 		if err := dec.Decode(&p); err != nil {
@@ -414,18 +432,18 @@ func (req SimulateRequest) autoscale() *core.AutoscaleOptions {
 	}
 }
 
-// maxSimulateQueries caps one /v1/simulate stream. The engine runs the
-// whole simulation synchronously while sharing replica locks with live
-// traffic, so an unbounded stream length would let a single request pin
-// the server for minutes; 100k queries stays in low seconds.
-const maxSimulateQueries = 100_000
+// maxQueries caps one /v1/simulate stream and one /v1/serve/batch
+// body. The engine runs a whole simulation synchronously while sharing
+// replica locks with live traffic, so an unbounded stream length would
+// let a single request pin the server for minutes; 100k queries stays
+// in low seconds.
+const maxQueries = 100_000
 
-// maxSimulateBody caps one /v1/simulate request body (413 beyond it),
-// so an oversized request is refused while it is read rather than
-// after it has been buffered. 16 MiB is about 160 bytes per point of a
-// maxSimulateQueries-point trace: room for full-precision floats, a
-// model label and pretty-printing.
-const maxSimulateBody = 16 << 20
+// maxBody caps every POST body (413 beyond it), so an oversized request
+// is refused while it is read rather than after it has been buffered.
+// 16 MiB is about 160 bytes per point of a maxQueries-point trace: room
+// for full-precision floats, a model label and pretty-printing.
+const maxBody = 16 << 20
 
 // stream materializes the request's arrival process and query stream.
 // dflt is the deployment's -cohorts population (nil when none), the
@@ -437,8 +455,8 @@ func (req SimulateRequest) stream(dflt *workload.Population) ([]serving.TimedQue
 	if req.MaxLatencyMS < 0 {
 		return nil, errors.New("max_latency_ms must be non-negative")
 	}
-	if req.Queries > maxSimulateQueries || len(req.Trace) > maxSimulateQueries {
-		return nil, fmt.Errorf("stream length capped at %d queries", maxSimulateQueries)
+	if req.Queries > maxQueries || len(req.Trace) > maxQueries {
+		return nil, fmt.Errorf("stream length capped at %d queries", maxQueries)
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -663,17 +681,11 @@ func modelSimViews(sum serving.Summary) []ModelSimView {
 // and leave their mark on its cache state; point this at an idle
 // deployment for reproducible sweeps.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSimulateBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	var req SimulateRequest
 	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		bodyError(w, err, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	qs, err := req.stream(s.dep.Cohorts)

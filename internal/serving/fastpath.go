@@ -10,12 +10,12 @@ import (
 	"sushi/internal/supernet"
 )
 
-// forceSlowPath is the process-wide escape hatch behind the
-// `sushi-bench -slowpath` flag: when set, every System built afterwards
-// runs the original unmemoized scan implementation of every scheduling
-// and routing decision (Options.SlowPath on each New). It is a
-// build-time switch, not a live one — systems already built keep the
-// path they were born with.
+// forceSlowPath is the process-wide switch the end-to-end differential
+// test (core's TestSlowPathMatchesFastPathEndToEnd) flips: when set,
+// every System built afterwards runs the original unmemoized scan
+// implementation of every scheduling and routing decision
+// (Options.SlowPath on each New). It is a build-time switch, not a live
+// one — systems already built keep the path they were born with.
 var forceSlowPath atomic.Bool
 
 // SetForceSlowPath flips the process-wide slow-path switch.

@@ -688,7 +688,7 @@ func (r *Replica) ServeVirtual(q, offered sched.Query, degrade bool) (Served, er
 	return res, nil
 }
 
-// ServeBatchVirtual serves one micro-batch at a virtual instant on
+// ServeBatchVirtualInto serves one micro-batch at a virtual instant on
 // behalf of the simq engine — the batched counterpart of ServeVirtual:
 // one accelerator pass through the batch's model-tenant (the engine's
 // batch former keys on the model, so a flush never mixes models),
@@ -698,23 +698,13 @@ func (r *Replica) ServeVirtual(q, offered sched.Query, degrade bool) (Served, er
 // charges AT MOST ONE re-cache — the advisor runs once, after the
 // whole batch. With degrade set, every member is served by the fastest
 // SubNet reachable under its model's current cache column.
-func (r *Replica) ServeBatchVirtual(qs, offered []sched.Query, degrade bool) ([]Served, error) {
-	nq := append([]sched.Query(nil), qs...)
-	no := append([]sched.Query(nil), offered...)
-	out := make([]Served, len(qs))
-	if err := r.ServeBatchVirtualInto(nq, no, degrade, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ServeBatchVirtualInto is ServeBatchVirtual with caller-owned scratch:
-// qs and offered are normalized (and, under degrade, rewritten) IN
-// PLACE, and the per-member outcomes land in out (len(out) must equal
-// len(qs)). The simq engine reuses one set of buffers across every
-// flush, which is what makes the steady-state serve path allocation
-// free; callers that need their query slices preserved must copy first
-// (ServeBatchVirtual does exactly that).
+//
+// The scratch is caller-owned: qs and offered are normalized (and,
+// under degrade, rewritten) IN PLACE, and the per-member outcomes land
+// in out (len(out) must equal len(qs)). The simq engine reuses one set
+// of buffers across every flush, which is what makes the steady-state
+// serve path allocation free; callers that need their query slices
+// preserved must copy first.
 func (r *Replica) ServeBatchVirtualInto(qs, offered []sched.Query, degrade bool, out []Served) error {
 	t, err := r.tenantFor(qs[0].Model)
 	if err != nil {

@@ -637,21 +637,3 @@ func (s *System) ServeContext(ctx context.Context, q sched.Query) (Served, error
 	}
 	return s.Serve(q)
 }
-
-// ServeAllContext runs a stream in order, checking for cancellation
-// between queries. On cancellation it returns the outcomes served so far
-// together with the context's error.
-func (s *System) ServeAllContext(ctx context.Context, qs []sched.Query) ([]Served, error) {
-	out := make([]Served, 0, len(qs))
-	for _, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		r, err := s.ServeContext(ctx, q)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

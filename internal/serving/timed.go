@@ -4,15 +4,14 @@ import "sushi/internal/sched"
 
 // Timed serving data types — the ONE authoritative note on where
 // open-loop queueing lives. This file defines only the data shapes
-// (TimedQuery in, TimedServed out, TimedOptions/TimedSummary); the
+// (TimedQuery in, TimedServed out, TimedSummary); the
 // queueing semantics themselves — FIFO arrival-order service, bounded
 // queues, admission control, load-aware budget debiting, and the
 // micro-batch former (flush on full batch or window expiry) — live in
 // exactly one place: the virtual-time discrete-event engine in
-// internal/simq. Single-replica callers enter through simq.ServeTimed,
-// clusters through simq.New/FromCluster + Run (surfaced publicly as
-// sushi.System.ServeTimed and sushi.Cluster.Simulate). There is no
-// wall-clock queueing loop anywhere in this package.
+// internal/simq. Callers build an engine with simq.New, FromCluster or
+// NewSingle and call Run (surfaced publicly as sushi.Cluster.Simulate).
+// There is no wall-clock queueing loop anywhere in this package.
 
 // TimedQuery is a query with an arrival time (seconds since stream start).
 type TimedQuery struct {
@@ -34,23 +33,6 @@ type TimedServed struct {
 	// it (§1's transient-overload failure mode). Dropped queries have a
 	// zero Served.
 	Dropped bool
-}
-
-// TimedOptions is the single-replica (simq.ServeTimed) subset of the
-// engine's queueing discipline: an unbounded FIFO with optional budget
-// debiting and deadline drops. The full surface — bounded queues,
-// admission policies, routers, the micro-batch former's B and W — is
-// simq.Options; cluster callers use it directly.
-type TimedOptions struct {
-	// LoadAware shrinks each query's effective latency budget by the
-	// time it already waited (sched.Query.Debit), so the scheduler picks
-	// a faster SubNet under load — the dynamic navigation of the
-	// trade-off space the paper motivates. Only meaningful under
-	// StrictLatency.
-	LoadAware bool
-	// Drop abandons queries whose remaining budget is exhausted before
-	// service starts (instead of serving them hopelessly late).
-	Drop bool
 }
 
 // TimedSummary aggregates a timed session.

@@ -33,9 +33,9 @@
 // Options.Shards opts into the parallel engine (shard.go), bit-identical
 // to the sequential loop at any shard count.
 //
-// ServeTimed is the single-replica entry point; cluster-level callers
-// use New/FromCluster + Run (surfaced publicly as sushi.Cluster.Simulate
-// and POST /v1/simulate).
+// Callers build an engine with New, FromCluster or NewSingle and call
+// Run (surfaced publicly as sushi.Cluster.Simulate and POST
+// /v1/simulate).
 package simq
 
 import (
@@ -330,8 +330,7 @@ func FromCluster(c *serving.Cluster, opt Options) (*Engine, error) {
 	return New(c.Replicas(), opt)
 }
 
-// NewSingle wraps one system as a single-replica engine — the modern
-// form of the old ServeTimed FIFO.
+// NewSingle wraps one system as a single-replica engine.
 func NewSingle(sys *serving.System, opt Options) (*Engine, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("simq: nil system")
@@ -625,24 +624,4 @@ func (e *Engine) finish(r *runner) {
 	res.Summary.ScaleUps = res.ScaleUps
 	res.Summary.ScaleDowns = res.ScaleDowns
 	res.Summary.ReplicaSeconds = res.ReplicaSeconds
-}
-
-// ServeTimed runs a timed stream through a single system in arrival
-// order — the single-replica entry point: FIFO, non-preemptive,
-// unbounded queue, unbatched, with the TimedOptions disciplines mapped
-// onto the engine.
-func ServeTimed(sys *serving.System, qs []serving.TimedQuery, opt serving.TimedOptions) ([]serving.TimedServed, error) {
-	eng, err := NewSingle(sys, Options{LoadAware: opt.LoadAware, Drop: opt.Drop})
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]serving.TimedServed, len(res.Outcomes))
-	for i, o := range res.Outcomes {
-		out[i] = o.TimedServed
-	}
-	return out, nil
 }

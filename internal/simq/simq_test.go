@@ -95,11 +95,29 @@ func timedStream(t *testing.T, n int, rate, budget float64) []serving.TimedQuery
 	return qs
 }
 
+// serveSingle plays a timed stream through sys as a one-replica engine
+// (unbounded FIFO, unbatched) and returns the outcomes in stream order.
+func serveSingle(sys *serving.System, qs []serving.TimedQuery, opt Options) ([]serving.TimedServed, error) {
+	eng, err := NewSingle(sys, opt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eng.Run(qs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]serving.TimedServed, len(res.Outcomes))
+	for i, o := range res.Outcomes {
+		out[i] = o.TimedServed
+	}
+	return out, nil
+}
+
 func TestServeTimedFIFOInvariants(t *testing.T) {
 	sys := newSystem(t, sched.StrictLatency)
 	budget := latHi(sys) * 1.1
 	qs := timedStream(t, 60, 300, budget) // moderate load
-	rs, err := ServeTimed(sys, qs, serving.TimedOptions{})
+	rs, err := serveSingle(sys, qs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +147,7 @@ func TestServeTimedOverloadBuildsQueue(t *testing.T) {
 	budget := latHi(sys) * 1.1
 	// Far beyond capacity: service ~2-6 ms -> capacity ~200-400 qps; feed 5000 qps.
 	over := timedStream(t, 80, 5000, budget)
-	rs, err := ServeTimed(sys, over, serving.TimedOptions{})
+	rs, err := serveSingle(sys, over, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +181,11 @@ func TestServeTimedLoadAwareBeatsStatic(t *testing.T) {
 		static[i].MinAccuracy = fr[len(fr)-1].Accuracy
 		static[i].MaxLatency = budget
 	}
-	staticRs, err := ServeTimed(mk(), static, serving.TimedOptions{Drop: true})
+	staticRs, err := serveSingle(mk(), static, Options{Drop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptiveRs, err := ServeTimed(mk(), qs, serving.TimedOptions{Drop: true, LoadAware: true})
+	adaptiveRs, err := serveSingle(mk(), qs, Options{Drop: true, LoadAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +210,7 @@ func TestServeTimedDropSemantics(t *testing.T) {
 		{Query: sched.Query{ID: 0, MaxLatency: budget}, Arrival: 0},
 		{Query: sched.Query{ID: 1, MaxLatency: budget}, Arrival: 0},
 	}
-	rs, err := ServeTimed(sys, qs, serving.TimedOptions{Drop: true})
+	rs, err := serveSingle(sys, qs, Options{Drop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +239,18 @@ func TestValidationHasNoSideEffects(t *testing.T) {
 		{Query: sched.Query{ID: 1, MaxLatency: budget}, Arrival: 0.01},
 		{Query: sched.Query{ID: 2, MaxLatency: budget}, Arrival: -1}, // invalid, late in stream
 	}
-	if _, err := ServeTimed(sys, qs, serving.TimedOptions{}); err == nil {
+	if _, err := serveSingle(sys, qs, Options{}); err == nil {
 		t.Fatal("negative arrival accepted")
 	}
 	if n := sys.Scheduler().Served(); n != 0 {
 		t.Errorf("%d queries served before validation failed (side effects!)", n)
 	}
-	if _, err := ServeTimed(sys, []serving.TimedQuery{{Arrival: math.NaN()}}, serving.TimedOptions{}); err == nil {
+	if _, err := serveSingle(sys, []serving.TimedQuery{{Arrival: math.NaN()}}, Options{}); err == nil {
 		t.Error("NaN arrival accepted")
 	}
 	// A +Inf arrival would end the event loop with the query forever
 	// pending yet counted as served.
-	if _, err := ServeTimed(sys, []serving.TimedQuery{{Arrival: math.Inf(1)}}, serving.TimedOptions{}); err == nil {
+	if _, err := serveSingle(sys, []serving.TimedQuery{{Arrival: math.Inf(1)}}, Options{}); err == nil {
 		t.Error("+Inf arrival accepted")
 	}
 }

@@ -8,11 +8,11 @@
 // (SubGraph Stationary, SGS). A state-aware scheduler decides per query
 // which SubNet to activate and, every Q queries, which SubGraph to cache.
 //
-// Quickstart (single accelerator):
+// Quickstart (one accelerator is a one-replica Cluster):
 //
-//	sys, err := sushi.New(sushi.Options{Workload: sushi.MobileNetV3})
+//	c, err := sushi.NewCluster(sushi.Options{Workload: sushi.MobileNetV3})
 //	if err != nil { ... }
-//	res, err := sys.Serve(sushi.Query{MinAccuracy: 78, MaxLatency: 5e-3})
+//	res, err := c.Serve(ctx, sushi.Query{MinAccuracy: 78, MaxLatency: 5e-3})
 //	fmt.Printf("served %s at %.2f ms\n", res.SubNet, res.Latency*1e3)
 //
 // Concurrent serving scales the same stack to N replica accelerators —
@@ -60,7 +60,6 @@
 package sushi
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -90,7 +89,7 @@ type (
 	AccelConfig = accel.Config
 	// Workload names a SuperNet family.
 	Workload = core.Workload
-	// Options configures New.
+	// Options configures each replica of NewCluster.
 	Options = core.DeployOptions
 	// Range is a constraint-sampling interval for workload generators.
 	Range = workload.Range
@@ -159,14 +158,7 @@ type (
 	TimedQuery = serving.TimedQuery
 	// TimedServed is a timed query's outcome (service + queueing).
 	TimedServed = serving.TimedServed
-	// TimedOptions controls the queueing discipline.
-	TimedOptions = serving.TimedOptions
-	// TimedSummary aggregates a timed session.
-	TimedSummary = serving.TimedSummary
 )
-
-// SummarizeTimed folds a timed session.
-var SummarizeTimed = serving.SummarizeTimed
 
 // PoissonArrivals draws open-loop arrival times at the given rate.
 var PoissonArrivals = workload.PoissonArrivals
@@ -295,67 +287,11 @@ func ReplayTrace(tr *TraceV2) (string, map[string]float64, error) {
 // TimedStream pairs a query stream with arrival times, element-wise.
 var TimedStream = simq.Stream
 
-// ServeTimed runs a timed stream through the system's single accelerator
-// in arrival order (FIFO, non-preemptive). It is a thin wrapper over the
-// simq discrete-event engine — the same queueing semantics that drive
-// Cluster.Simulate. The whole stream is validated before any query is
-// served, so invalid input has no side effects on accelerator state.
-func (s *System) ServeTimed(qs []TimedQuery, opt TimedOptions) ([]TimedServed, error) {
-	return simq.ServeTimed(s.d.System, qs, opt)
-}
-
-// System is a ready-to-serve SUSHI deployment.
-type System struct {
-	d *core.Deployment
-}
-
-// New builds a SUSHI system. Zero-valued options select ResNet50 on a
-// ZCU104 with the full stack, STRICT_ACCURACY... see Options for fields.
-func New(opt Options) (*System, error) {
-	d, err := core.Deploy(opt)
-	if err != nil {
-		return nil, err
-	}
-	return &System{d: d}, nil
-}
-
-// Serve runs one query through the stack. It is the back-compat wrapper
-// over ServeContext with a background context.
-func (s *System) Serve(q Query) (Served, error) { return s.d.Serve(q) }
-
-// ServeAll runs a query stream in order (back-compat wrapper over
-// ServeAllContext with a background context).
-func (s *System) ServeAll(qs []Query) ([]Served, error) { return s.d.ServeAll(qs) }
-
-// ServeContext runs one query with deadline and cancellation awareness:
-// a context deadline tightens the query's MaxLatency to the remaining
-// wall-clock budget, and an expired or cancelled context fails fast
-// without touching accelerator state.
-func (s *System) ServeContext(ctx context.Context, q Query) (Served, error) {
-	return s.d.System.ServeContext(ctx, q)
-}
-
-// ServeAllContext runs a stream in order, checking for cancellation
-// between queries.
-func (s *System) ServeAllContext(ctx context.Context, qs []Query) ([]Served, error) {
-	return s.d.System.ServeAllContext(ctx, qs)
-}
-
 // SubNetInfo describes one servable SubNet of the deployment.
 type SubNetInfo = core.SubNetView
 
-// Frontier lists the deployment's servable SubNets, smallest first.
-func (s *System) Frontier() []SubNetInfo {
-	return core.FrontierView(s.d.Frontier)
-}
-
 // CacheState describes a Persistent Buffer's contents.
 type CacheState = core.CacheView
-
-// Cache reports the current Persistent Buffer state.
-func (s *System) Cache() CacheState {
-	return core.NewCacheView(s.d.System)
-}
 
 // Experiment regenerates one of the paper's tables or figures by id
 // (fig2, fig3, fig9..fig18, table1..table6, hitratio, ...; see
@@ -503,12 +439,6 @@ var experimentRegistry = []experimentEntry{
 // order, so a parallel run's output is byte-identical to a sequential
 // one (sushi-bench -parallel).
 var SetParallelExperiments = core.SetParallelExperiments
-
-// SetSlowPath flips the process-wide decision slow path: systems
-// deployed afterwards run the original unmemoized scan implementation
-// of every scheduling/routing decision — the fast path's correctness
-// oracle (sushi-bench -slowpath).
-var SetSlowPath = core.SetSlowPath
 
 // Measured-table calibration (the offline end of WithMeasuredTable).
 type (

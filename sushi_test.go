@@ -1,16 +1,17 @@
 package sushi
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestNewDefaultsServe(t *testing.T) {
-	sys, err := New(Options{Workload: MobileNetV3})
+	c, err := NewCluster(Options{Workload: MobileNetV3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := sys.Frontier()
+	fr := c.Frontier()
 	if len(fr) != 7 {
 		t.Fatalf("frontier %d, want 7", len(fr))
 	}
@@ -19,7 +20,7 @@ func TestNewDefaultsServe(t *testing.T) {
 			t.Errorf("frontier not monotone at %d: %+v vs %+v", i, fr[i-1], fr[i])
 		}
 	}
-	res, err := sys.Serve(Query{ID: 0, MinAccuracy: fr[2].Accuracy, MaxLatency: 1})
+	res, err := c.Serve(context.Background(), Query{ID: 0, MinAccuracy: fr[2].Accuracy, MaxLatency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestNewDefaultsServe(t *testing.T) {
 }
 
 func TestServeAllAndSummarize(t *testing.T) {
-	sys, err := New(Options{Workload: MobileNetV3, Policy: StrictLatency})
+	c, err := NewCluster(Options{Workload: MobileNetV3, Policy: StrictLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestServeAllAndSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sys.ServeAll(qs)
+	rs, err := c.ServeAll(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +49,19 @@ func TestServeAllAndSummarize(t *testing.T) {
 }
 
 func TestCacheState(t *testing.T) {
-	sys, err := New(Options{Workload: MobileNetV3})
+	c, err := NewCluster(Options{Workload: MobileNetV3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sys.Cache()
+	st := c.Replicas()[0].Cache
 	if st.Name == "" || st.Bytes <= 0 {
 		t.Fatalf("full system should boot with a cached SubGraph: %+v", st)
 	}
-	noPB, err := New(Options{Workload: MobileNetV3, Mode: NoPB})
+	noPB, err := NewCluster(Options{Workload: MobileNetV3, Mode: NoPB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := noPB.Cache(); st.Name != "" || st.Bytes != 0 {
+	if st := noPB.Replicas()[0].Cache; st.Name != "" || st.Bytes != 0 {
 		t.Fatalf("NoPB system should have an empty cache: %+v", st)
 	}
 }
